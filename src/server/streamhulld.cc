@@ -7,6 +7,8 @@
 #include <sstream>
 #include <utility>
 
+#include <poll.h>
+
 #include "common/check.h"
 #include "core/checked_file.h"
 #include "core/snapshot.h"
@@ -488,6 +490,26 @@ size_t StreamHullServer::PumpOnce() {
   return dispatched;
 }
 
+bool StreamHullServer::WaitForInput(int extra_fd,
+                                    std::chrono::milliseconds timeout) {
+  // poll(2) ignores entries with a negative fd, so extra_fd = -1 is inert.
+  std::vector<pollfd> fds{{extra_fd, POLLIN, 0}};
+  for (const auto& s : sessions_) {
+    // The same filter PumpOnce applies before its Recv: a session it
+    // would skip must not end the wait with bytes it will leave unread.
+    if (s->state == Session::State::kClosed ||
+        s->pending.load(std::memory_order_acquire) >=
+            options_.max_pending_per_session) {
+      continue;
+    }
+    const int fd = s->transport->pollable_fd();
+    if (fd < 0) return true;  // Only a Recv() can tell; let the pump try.
+    fds.push_back({fd, POLLIN, 0});
+  }
+  return ::poll(fds.data(), fds.size(), static_cast<int>(timeout.count())) !=
+         0;
+}
+
 void StreamHullServer::Flush() { runtime_->Flush(); }
 
 Status StreamHullServer::SaveSnapshots() {
@@ -543,7 +565,11 @@ Status StreamHullServer::Metrics(const std::string& tenant,
   if (it == tenants_.end()) {
     return Status::InvalidArgument("unknown tenant '" + tenant + "'");
   }
-  const Tenant& t = *it->second;
+  *out = ReadTenantMetrics(*it->second);
+  return Status::OK();
+}
+
+TenantMetrics StreamHullServer::ReadTenantMetrics(const Tenant& t) {
   TenantMetrics m;
   m.streams = t.streams.load(std::memory_order_relaxed);
   m.restored_streams = t.restored_streams.load(std::memory_order_relaxed);
@@ -557,8 +583,7 @@ Status StreamHullServer::Metrics(const std::string& tenant,
   m.quarantined_snapshots =
       t.quarantined_snapshots.load(std::memory_order_relaxed);
   m.shed_streams = t.shed_streams.load(std::memory_order_relaxed);
-  *out = m;
-  return Status::OK();
+  return m;
 }
 
 ServerMetrics StreamHullServer::metrics() const {
@@ -600,9 +625,9 @@ std::string StreamHullServer::MetricsText() {
       << " shed_sessions=" << sm.shed_sessions
       << " snapshot_save_failures=" << sm.snapshot_save_failures
       << " health=" << (shedding ? "shedding" : "ok") << "\n";
+  // One barrier per scrape: the Flush above already settled every strand.
   for (const auto& [name, tenant] : tenants_) {
-    TenantMetrics m;
-    (void)Metrics(name, &m);
+    const TenantMetrics m = ReadTenantMetrics(*tenant);
     out << "tenant " << name << ": streams=" << m.streams
         << " restored=" << m.restored_streams << " frames=" << m.frames
         << " bytes=" << m.bytes << " full=" << m.full_frames

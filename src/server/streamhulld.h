@@ -29,6 +29,14 @@
 //     up, so per-session buffering is bounded; other sessions are
 //     unaffected.
 //
+//   * Idle waiting: a caller that found nothing to dispatch blocks in
+//     WaitForInput(), a poll(2) over the listener and every session
+//     PumpOnce would read (open and under its pending bound), capped by
+//     a timeout. A client's write ends the wait at once. The cap bounds
+//     everything poll cannot see: backpressured sessions regaining
+//     headroom as their strand drains, decoded frames waiting for that
+//     headroom, and the caller's own timers and stop flags.
+//
 //   * Restart: SaveSnapshots() re-encodes every held view into
 //     snapshot_dir; a new server instance loads them in AddTenant, so
 //     OPEN_OK reports the pre-restart held generation and producers whose
@@ -36,7 +44,8 @@
 //     get a NAK, exactly as for a lost frame).
 //
 // Thread-safety: construct, AddTenant, and AttachSession from the owning
-// thread before pumping; PumpOnce/Flush from one thread at a time.
+// thread before pumping; PumpOnce/WaitForInput/Flush from one thread at a
+// time.
 // MetricsText and SaveSnapshots flush internally and must come from the
 // pump thread. Counters are atomics, updated from pool strands.
 
@@ -44,6 +53,7 @@
 #define STREAMHULL_SERVER_STREAMHULLD_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -147,6 +157,17 @@ class StreamHullServer {
   /// when it returns; Flush() is the barrier.
   size_t PumpOnce();
 
+  /// \brief Blocks until input PumpOnce would read may be ready, or
+  /// until \p timeout elapses. Polls \p extra_fd (the daemon passes its
+  /// listener; -1 for none) and the transport of every open session
+  /// below its pending bound; sessions at the bound are left out, since
+  /// PumpOnce would not read them. Returns at once when such a session's
+  /// transport has no pollable descriptor (PipeTransport), so the wait
+  /// never hides input. Returns false when the whole timeout passed with
+  /// nothing ready, true when it ended early (readiness, an unpollable
+  /// session, or a signal).
+  bool WaitForInput(int extra_fd, std::chrono::milliseconds timeout);
+
   /// Barrier: every dispatched message has been fully processed (and its
   /// reply handed to the transport) when this returns.
   void Flush();
@@ -184,8 +205,9 @@ class StreamHullServer {
   struct Tenant;
   struct Session;
 
-  /// Dispatches one decoded message on \p session. Returns false when the
-  /// session should stop being drained this pump (backpressure).
+  /// Dispatches one decoded message on \p session: handshake and BYE on
+  /// the pump thread, OPEN/DATA/QUERY posted to the tenant's strand.
+  /// Protocol violations close the session.
   void HandleMessage(Session* session, SessionMessage msg);
 
   void SendOnSession(Session* session, const SessionMessage& msg);
@@ -202,6 +224,9 @@ class StreamHullServer {
   /// quarantined_snapshots) and the tenant boots with whatever survived;
   /// only a failure to list the directory itself aborts.
   Status LoadTenantSnapshots(Tenant* tenant);
+
+  /// Copies \p tenant's counters without a barrier; callers Flush first.
+  static TenantMetrics ReadTenantMetrics(const Tenant& tenant);
 
   /// Live (attached, not yet closed) sessions.
   size_t LiveSessionCount() const;

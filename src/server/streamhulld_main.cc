@@ -4,13 +4,20 @@
 // the server, logs a metrics line periodically, and persists every held
 // view on shutdown (SIGINT/SIGTERM) so the next start restores them.
 //
-//   streamhulld --socket /run/streamhulld.sock \
-//               --tenant field:s3cret --tenant lab:hunter2 \
-//               --snapshot-dir /var/lib/streamhulld \
+//   streamhulld --socket /run/streamhulld.sock
+//               --tenant field:s3cret --tenant lab:hunter2
+//               --snapshot-dir /var/lib/streamhulld
 //               [--threads N] [--metrics-every 10] [--max-polls N]
 //
 // --max-polls bounds the pump loop (0 = run until a signal); the CI smoke
 // run uses it to exercise the full daemon path without daemonizing.
+//
+// A pump that dispatches nothing waits for socket readiness (a new
+// connection or bytes from a session it would read) for at most 1 ms, so
+// a frame is read as soon as it arrives, an idle daemon sleeps in poll(2)
+// instead of spinning, and an idle --max-polls N run ends after about
+// N ms. The same 1 ms bounds how late a signal, the metrics tick, and a
+// backpressured session's resumption are noticed.
 
 #include <chrono>
 #include <csignal>
@@ -18,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/failpoint.h"
@@ -134,7 +140,7 @@ int main(int argc, char** argv) {
     const size_t dispatched = server.PumpOnce();
     ++polls;
     if (dispatched == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      server.WaitForInput(listener.fd(), std::chrono::milliseconds(1));
     }
     const auto now = std::chrono::steady_clock::now();
     if (metrics_every > 0 &&

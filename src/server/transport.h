@@ -64,6 +64,14 @@ class Transport {
 
   /// True once this end was closed locally.
   virtual bool closed() const = 0;
+
+  /// \brief A descriptor that poll(2) reports readable (POLLIN or
+  /// POLLHUP) whenever Recv() may have something new to return, so a
+  /// reader can sleep until input arrives. -1 (the default) when the
+  /// transport has none, as for in-process transports; such a transport
+  /// must be polled by calling Recv(). The descriptor stays owned by the
+  /// transport and is invalid once it is closed.
+  virtual int pollable_fd() const { return -1; }
 };
 
 /// \brief The in-process test transport: two ends over shared byte queues,
@@ -124,6 +132,8 @@ class UnixSocketTransport : public Transport {
   Status Recv(std::string* out) override;
   void Close() override;
   bool closed() const override;
+  /// The socket fd, or -1 once closed.
+  int pollable_fd() const override;
 
   /// \brief Overrides how long Send() waits for an unwritable peer
   /// before failing with IOError (default
@@ -152,6 +162,10 @@ class UnixSocketListener {
 
   /// Closes the listener and removes the socket file.
   void Close();
+
+  /// The listening socket (readable when a connection is waiting), or -1
+  /// when not listening.
+  int fd() const { return fd_; }
 
  private:
   int fd_ = -1;

@@ -1,17 +1,23 @@
 // End-to-end tests for the streamhulld server core (server/streamhulld.h)
 // over in-process pipe transports: session authentication, the
 // OPEN/DATA/ACK/NAK protocol, per-session backpressure, wire-protocol
-// certified queries, snapshot persistence with restart restore, and a
-// mini soak for sanitizer coverage. This suite spawns the server's
+// certified queries, snapshot persistence with restart restore, a mini
+// soak for sanitizer coverage, and the idle readiness wait (over
+// socketpairs, since pipes have no descriptor to poll). This suite spawns the server's
 // ThreadPool, so CI also runs it under ThreadSanitizer.
 
 #include "server/streamhulld.h"
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -534,6 +540,126 @@ TEST(StreamHullServerTest, MiniSoakManyProducersWithLossAndBackpressure) {
   EXPECT_EQ(tm.streams, static_cast<uint64_t>(kProducers));
   EXPECT_GT(tm.full_frames + tm.delta_frames, 0u);
   EXPECT_EQ(tm.rejected_frames, 0u);
+}
+
+TEST(StreamHullServerTest, MetricsTextTenantLineFormatIsStable) {
+  StreamHullServer server(SmallServerOptions());
+  ASSERT_TRUE(server.AddTenant(kTenant, kToken).ok());
+  Client c = Attach(&server);
+  Handshake(&server, &c, "s0");
+  SessionMessage data;
+  data.type = SessionMessageType::kData;
+  data.stream = "s0";
+  data.payload = "junk";
+  c.Send(data);
+  SessionMessage reply;
+  ASSERT_TRUE(c.Await(&server, &reply));
+  ASSERT_EQ(reply.type, SessionMessageType::kError);
+
+  const std::string text = server.MetricsText();
+  EXPECT_EQ(text.substr(text.find("tenant ")),
+            "tenant acme: streams=1 restored=0 frames=1 bytes=4 full=0 "
+            "delta=0 resyncs=0 rejected=1 queries=0 quarantined=0 shed=0\n");
+}
+
+// --- The idle readiness wait -------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+// A connected socketpair: the server adopts one end as a session; the
+// returned end is the test's client, writing raw bytes (the wait only
+// looks at readiness, so they need not be valid frames).
+std::unique_ptr<UnixSocketTransport> AttachSocketSession(
+    StreamHullServer* server) {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  server->AttachSession(std::make_unique<UnixSocketTransport>(fds[0]));
+  return std::make_unique<UnixSocketTransport>(fds[1]);
+}
+
+milliseconds Since(Clock::time_point start) {
+  return std::chrono::duration_cast<milliseconds>(Clock::now() - start);
+}
+
+TEST(StreamHullServerWaitTest, ReturnsOnceThePeerWrites) {
+  StreamHullServer server(SmallServerOptions());
+  auto client = AttachSocketSession(&server);
+  std::thread writer([&client] {
+    std::this_thread::sleep_for(milliseconds(20));
+    EXPECT_TRUE(client->Send("x").ok());
+  });
+  const auto start = Clock::now();
+  const bool woke = server.WaitForInput(-1, milliseconds(5000));
+  const milliseconds waited = Since(start);
+  writer.join();
+  EXPECT_TRUE(woke);
+  EXPECT_LT(waited, milliseconds(2500));
+}
+
+TEST(StreamHullServerWaitTest, ReturnsOnAPendingConnection) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("streamhull_wait_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  UnixSocketListener listener;
+  ASSERT_TRUE(listener.Listen(path).ok());
+  StreamHullServer server(SmallServerOptions());
+  std::unique_ptr<UnixSocketTransport> conn;
+  ASSERT_TRUE(UnixSocketTransport::Connect(path, &conn).ok());
+  const auto start = Clock::now();
+  EXPECT_TRUE(server.WaitForInput(listener.fd(), milliseconds(5000)));
+  EXPECT_LT(Since(start), milliseconds(2500));
+}
+
+TEST(StreamHullServerWaitTest, WithNothingToReadWaitsTheCap) {
+  StreamHullServer server(SmallServerOptions());
+  auto client = AttachSocketSession(&server);
+  const auto start = Clock::now();
+  EXPECT_FALSE(server.WaitForInput(-1, milliseconds(100)));
+  const milliseconds waited = Since(start);
+  EXPECT_GE(waited, milliseconds(95));
+  EXPECT_LT(waited, milliseconds(2000));
+}
+
+TEST(StreamHullServerWaitTest, SessionAtItsBoundDoesNotWakeTheWait) {
+  // max_pending_per_session = 0 holds every session at its bound, so
+  // PumpOnce never reads it; its readable bytes must not end the wait.
+  ServerOptions options = SmallServerOptions();
+  options.max_pending_per_session = 0;
+  StreamHullServer server(options);
+  auto client = AttachSocketSession(&server);
+  ASSERT_TRUE(client->Send("unread").ok());
+  const auto start = Clock::now();
+  EXPECT_FALSE(server.WaitForInput(-1, milliseconds(100)));
+  EXPECT_GE(Since(start), milliseconds(95));
+}
+
+TEST(StreamHullServerWaitTest, PipeSessionReturnsImmediately) {
+  StreamHullServer server(SmallServerOptions());
+  auto socket_client = AttachSocketSession(&server);
+  Client pipe_client = Attach(&server);
+  const auto start = Clock::now();
+  EXPECT_TRUE(server.WaitForInput(-1, milliseconds(5000)));
+  EXPECT_LT(Since(start), milliseconds(1000));
+}
+
+TEST(StreamHullServerWaitTest, ClosedSessionsAreIgnored) {
+  StreamHullServer server(SmallServerOptions());
+  ASSERT_TRUE(server.AddTenant(kTenant, kToken).ok());
+  // A pipe session would end the wait at once; closing it (DATA before
+  // HELLO) must take it out of the set even before the pump reaps it.
+  Client c = Attach(&server);
+  SessionMessage data;
+  data.type = SessionMessageType::kData;
+  data.stream = "s";
+  data.payload = "junk";
+  c.Send(data);
+  server.PumpOnce();
+  ASSERT_EQ(server.session_count(), 1u);  // Closed, not yet reaped.
+  const auto start = Clock::now();
+  EXPECT_FALSE(server.WaitForInput(-1, milliseconds(100)));
+  EXPECT_GE(Since(start), milliseconds(95));
 }
 
 }  // namespace
